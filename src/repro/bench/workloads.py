@@ -585,7 +585,6 @@ def _run_mega_fleet(
             codec=None,
             seed=7,
             batch_size=16,
-            engine="events",
         )
 
     harness.measure(

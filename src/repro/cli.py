@@ -108,7 +108,6 @@ def run_fl(
     mixing_rate: float = 0.5,
     executor: str = "serial",
     workers: int = 4,
-    engine: str = "rounds",
     heterogeneous: bool = False,
     stragglers: tuple = (),
     straggler_factor: float = 10.0,
@@ -218,7 +217,6 @@ def run_fl(
             setup.validation_dataset,
             codec=codec,
             executor=build_executor(executor, workers),
-            engine=engine,
             # Train with the same hyper-parameters as the non-scenario path;
             # the preset only decides fleet shape, links and availability.
             seed=setup.config.seed,
@@ -253,13 +251,10 @@ def run_fl(
             )
         )
     config = setup.config
-    if client_fraction is not None or engine != config.engine:
+    if client_fraction is not None:
         from dataclasses import replace
 
-        overrides = {"engine": engine}
-        if client_fraction is not None:
-            overrides["client_fraction"] = client_fraction
-        config = replace(config, **overrides)
+        config = replace(config, client_fraction=client_fraction)
     simulation = FLSimulation(
         setup.model_fn,
         setup.train_dataset,
@@ -306,7 +301,6 @@ def _call_run_fl(arguments, monitor) -> "object":
         mixing_rate=arguments.mixing_rate,
         executor=arguments.executor,
         workers=arguments.workers,
-        engine=arguments.engine,
         heterogeneous=arguments.heterogeneous,
         stragglers=tuple(arguments.straggler),
         straggler_factor=arguments.straggler_factor,
@@ -390,13 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "shared-nothing worker processes — all "
                                 "bit-identical for deterministic codecs")
     fl_parser.add_argument("--workers", type=int, default=4)
-    fl_parser.add_argument("--engine", default="rounds",
-                           choices=["rounds", "events"],
-                           help="round-loop implementation: the legacy "
-                                "round-synchronous loop or the discrete-event "
-                                "engine (bit-identical results; per-round cost "
-                                "scales with participants + availability "
-                                "transitions instead of fleet size)")
     fl_parser.add_argument("--heterogeneous", action="store_true",
                            help="give each client its own edge link")
     fl_parser.add_argument("--straggler", type=int, action="append", default=[],

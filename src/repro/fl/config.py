@@ -69,14 +69,10 @@ class FLConfig:
     #: Worker count for the parallel executors (``None`` = thread pool sized
     #: to the task count, process pool sized to the host's cores).
     max_workers: Optional[int] = None
-    #: How rounds are driven: ``"rounds"`` is the legacy synchronous loop
-    #: that walks the fleet each round; ``"events"`` drives the run through
-    #: the discrete-event engine (:mod:`repro.fl.events`), whose per-round
-    #: cost scales with participants + availability transitions instead of
-    #: fleet size.  The two are bit-identical (asserted by
-    #: ``tests/integration/test_event_engine.py``), so this is
-    #: execution-only: a checkpointed run may resume under either engine.
-    engine: str = "rounds"
+    #: The round engine.  Every round runs on the discrete-event engine
+    #: (:mod:`repro.fl.events`), so ``"events"`` is the only legal value; the
+    #: field remains so callers that name the engine keep working.
+    engine: str = "events"
 
     def __post_init__(self) -> None:
         if self.num_clients <= 0:
@@ -119,7 +115,5 @@ class FLConfig:
             )
         if self.max_workers is not None and self.max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {self.max_workers}")
-        if self.engine not in {"rounds", "events"}:
-            raise ValueError(
-                f"engine must be 'rounds' or 'events', got {self.engine!r}"
-            )
+        if self.engine != "events":
+            raise ValueError(f"engine must be 'events', got {self.engine!r}")

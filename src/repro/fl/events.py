@@ -1,11 +1,7 @@
-"""Discrete-event engine for fleet-scale federated rounds.
+"""Discrete-event engine: the one way a federated round runs.
 
-The legacy round loop walks the fleet: every round recomputes a full
-availability mask (O(num_clients)) and the runtime's bookkeeping scales with
-resident clients even when ``client_fraction`` means only a handful train.
-This module replaces that loop with a deterministic discrete-event engine so
-per-round work scales with **participants + availability transitions** — the
-events that actually happen — and a 100k–1M-client fleet costs what its
+Per-round work scales with **participants + availability transitions** — the
+events that actually happen — so a 100k–1M-client fleet costs what its
 activity costs, not what its census costs.
 
 Pieces:
@@ -14,75 +10,63 @@ Pieces:
   ``(time, seq)``.  The monotone sequence number makes ties reproducible:
   two events at the same instant pop in push order, never in hash or
   comparison-of-payload order.
-* Typed events (:class:`Event`) — round start, per-client completion (timed
-  by the transport's simulated link seconds, which unifies the virtual
-  clock), straggler deadline, batched client arrival/departure, checkpoint
-  due, and fault injection.
+* Typed events (:class:`Event`) — per-client completion (timed by the
+  transport's simulated link seconds, which unifies the virtual clock) and
+  the straggler deadline.
 * :class:`EligibleSet` — the incrementally maintained "who is reachable"
   set.  Availability schedules compile into arrival/departure event streams
   (:meth:`repro.fl.scenarios.ParticipationSchedule.transitions`) instead of
   per-round full-fleet masks; applying a stream reproduces
   ``np.nonzero(mask)[0]`` bit for bit.
-* :class:`FleetEngine` — drives a :class:`~repro.fl.runtime.FederatedRuntime`
-  from the queue.  Schedulers consume the round's completion events
-  (``consume_events``): synchronous FedAvg is the degenerate barrier case
-  (drain everything), the semi-synchronous deadline is a
-  :data:`STRAGGLER_DEADLINE` event cutting the stream, and the asynchronous
-  scheduler mixes deliveries in pop order.
+* :class:`FleetEngine` — runs one round of a
+  :class:`~repro.fl.runtime.FederatedRuntime` from the queue.  Schedulers
+  consume the round's completion events (``consume_events``): synchronous
+  FedAvg is the degenerate barrier case (drain everything), the
+  semi-synchronous deadline is a :data:`STRAGGLER_DEADLINE` event cutting the
+  stream, and the asynchronous scheduler mixes deliveries in pop order.
 
 Determinism contract
 --------------------
-The engine is **bit-identical** to the legacy loop (asserted at 256 clients
-across sync/semi-sync/async × serial/thread/process and under kill+resume in
-``tests/integration/test_event_engine.py``):
+Rounds are bit-identical across executors and under kill+resume (asserted at
+256 clients across sync/semi-sync/async × serial/thread/process against a
+plain reference round in ``tests/integration/test_event_engine.py``):
 
-* Within a round, event times are **round-relative** turnaround durations —
-  the exact floats the legacy loop compares — never re-based onto the global
-  clock (float addition is not associative; ``t0 + a <= t0 + b`` can
-  disagree with ``a <= b``).  The run-level virtual clock advances by each
-  round's ``simulated_round_seconds`` instead.
+* Event times are **round-relative** turnaround durations, never re-based
+  onto a global clock (float addition is not associative; ``t0 + a <= t0 +
+  b`` can disagree with ``a <= b``).
 * Completion events are pushed in task order, so pop order is
   ``(turnaround, task order)`` — and since participants are sorted by client
-  id, that equals the legacy ``(turnaround_seconds, client_id)`` arrival
-  sort.  The deadline event is pushed after the completions, so a completion
-  at exactly the deadline drains first, preserving the legacy ``<=``
-  comparison.
+  id, that is the ``(turnaround_seconds, client_id)`` arrival order.  The
+  deadline event is pushed after the completions, so a completion at
+  exactly the deadline drains first (``turnaround <= deadline``).
 * Aggregation happens in **task order** from the results list (events decide
   membership and timing only), so float summation order never changes.
-* Sampling consumes the same RNG stream: the eligible ids handed to the
-  sampler equal ``np.nonzero(mask)[0]`` exactly, and
-  ``Generator.choice``'s draws depend only on the pool size and draw count.
+* Sampling consumes the same RNG stream whether the eligible set was folded
+  incrementally or rebuilt from a mask: both equal ``np.nonzero(mask)[0]``,
+  and ``Generator.choice``'s draws depend only on the pool and draw count.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-#: A new round opens: sample the eligible fleet, broadcast, dispatch tasks.
-ROUND_START = "round-start"
 #: One participant's update finished its simulated receive→train→transmit arc.
 CLIENT_COMPLETION = "client-completion"
 #: The semi-synchronous scheduler's cutoff: later completions are stragglers.
 STRAGGLER_DEADLINE = "straggler-deadline"
-#: A batch of clients became reachable / dropped off the fleet.
-AVAILABILITY = "availability"
-#: A checkpoint is due (persisted before any fault can fire).
-CHECKPOINT_DUE = "checkpoint-due"
-#: The fault injector is consulted (the worst-case crash point).
-FAULT_INJECTION = "fault-injection"
 
 
 @dataclass
 class Event:
-    """One typed occurrence on the virtual clock.
+    """One typed occurrence on the round's virtual clock.
 
-    ``time`` is round-relative (a turnaround duration) for within-round
-    events and absolute virtual seconds for run-level control events — see
-    the module docstring's determinism contract for why the two never mix.
+    ``time`` is round-relative (a turnaround duration) — see the module
+    docstring's determinism contract for why it is never re-based.
     """
 
     kind: str
@@ -91,9 +75,6 @@ class Event:
     client_id: Optional[int] = None
     #: The :class:`~repro.fl.executor.ClientResult` behind a completion.
     result: Optional[object] = None
-    #: Batched ids for :data:`AVAILABILITY` events.
-    arrivals: Optional[np.ndarray] = None
-    departures: Optional[np.ndarray] = None
 
 
 class EventQueue:
@@ -116,10 +97,6 @@ class EventQueue:
     def pop(self) -> Event:
         """Dequeue the earliest event (FIFO within one instant)."""
         return heapq.heappop(self._heap)[2]
-
-    def peek_time(self) -> float:
-        """The time of the next event without dequeuing it."""
-        return self._heap[0][0]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -194,38 +171,27 @@ class EngineStats:
 
 
 class FleetEngine:
-    """Drive a :class:`~repro.fl.runtime.FederatedRuntime` by events.
+    """Run the rounds of a :class:`~repro.fl.runtime.FederatedRuntime` by events.
 
-    Construct with the runtime (``FLConfig.engine = "events"`` does this
-    automatically) and either call :meth:`run_round` per round or let
-    :meth:`run` own the whole run including checkpointing and fault
-    injection.  See the module docstring for the determinism contract.
+    Every runtime builds one; :meth:`run_round` is the only round path.  See
+    the module docstring for the determinism contract.
     """
 
     def __init__(self, runtime) -> None:
-        self.runtime = runtime
+        # Weak: the runtime owns its engine, and a strong back-reference
+        # would form a cycle that keeps a dropped runtime's models and
+        # datasets resident until the cyclic garbage collector runs.
+        self._runtime = weakref.ref(runtime)
         self.eligible = EligibleSet()
         self.stats = EngineStats()
         #: Round index whose transitions the eligible set currently reflects
         #: (-1 = never advanced, forcing a mask rebuild on first use).
         self._availability_round = -1
 
-    # ------------------------------------------------------------------
-    # Virtual clock
-    # ------------------------------------------------------------------
     @property
-    def virtual_time(self) -> float:
-        """Absolute simulated seconds elapsed: the sum of round durations.
-
-        Derived from the history rather than accumulated privately, so a
-        resumed engine's clock is automatically exact.
-        """
-        return float(
-            sum(
-                record.simulated_round_seconds
-                for record in self.runtime.history.records
-            )
-        )
+    def runtime(self):
+        """The :class:`~repro.fl.runtime.FederatedRuntime` this engine drives."""
+        return self._runtime()
 
     # ------------------------------------------------------------------
     # Availability event stream
@@ -234,17 +200,18 @@ class FleetEngine:
         """Bring the eligible set to ``round_index``; return ``(ids, touches)``.
 
         Consecutive rounds fold the schedule's arrival/departure stream into
-        the set incrementally; any discontinuity (first round of a resumed
-        process, or a custom-scheduler fallback round in between) rebuilds
-        from the full mask — a pure function of the round index, so both
-        paths land on the same set.
+        the set incrementally; any discontinuity (the first round of a
+        resumed process) rebuilds from the full mask — a pure function of the
+        round index, so both paths land on the same set.  Schedules that only
+        define ``mask`` always take the mask path.
         """
         runtime = self.runtime
         if runtime.schedule is None:
             return None, 0
         num_clients = len(runtime.clients)
         before = self.eligible.touched
-        if self._availability_round == round_index - 1:
+        incremental = hasattr(runtime.schedule, "transitions")
+        if incremental and self._availability_round == round_index - 1:
             arrivals, departures = runtime.schedule.transitions(round_index, num_clients)
             self.eligible.apply(arrivals, departures)
             self.stats.availability_transitions += int(
@@ -265,16 +232,8 @@ class FleetEngine:
     # Rounds
     # ------------------------------------------------------------------
     def run_round(self):
-        """Execute one round by feeding its events to the scheduler.
-
-        Falls back to the scheduler's legacy ``run_round`` for custom
-        schedulers that do not consume events.
-        """
+        """Execute one round by feeding its events to the scheduler."""
         runtime = self.runtime
-        consume = getattr(runtime.scheduler, "consume_events", None)
-        if consume is None:
-            return runtime.scheduler.run_round(runtime)
-
         round_index = len(runtime.history)
         eligible, touches = self._advance_availability(round_index)
         context = runtime.start_round(eligible=eligible)
@@ -295,13 +254,13 @@ class FleetEngine:
         if deadline is not None:
             # Pushed after the completions: an update landing exactly at the
             # deadline has a smaller sequence number and drains first,
-            # matching the legacy `turnaround <= deadline` comparison.
+            # so the cut is `turnaround <= deadline`.
             events.push(
                 Event(kind=STRAGGLER_DEADLINE, time=float(deadline), round_index=round_index)
             )
             self.stats.control_events += 1
 
-        record = consume(runtime, context, results, events)
+        record = runtime.scheduler.consume_events(runtime, context, results, events)
 
         self.stats.rounds_run += 1
         self.stats.participants += len(results)
@@ -309,68 +268,10 @@ class FleetEngine:
         self.stats.round_touches.append(len(results) + touches)
         return record
 
-    # ------------------------------------------------------------------
-    # Whole runs
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        target: int,
-        *,
-        directory=None,
-        checkpoint_every: int = 1,
-        keep_checkpoints: int = 3,
-        injector=None,
-    ) -> None:
-        """Drive the run to ``target`` completed rounds through the queue.
-
-        Control events fire at the absolute virtual time the round closed;
-        at equal times the push order (checkpoint before fault before next
-        round start) decides — the exact sequence the legacy loop hard-codes,
-        here falling out of queue determinism.
-        """
-        runtime = self.runtime
-        queue = EventQueue()
-        if len(runtime.history) < target:
-            queue.push(
-                Event(
-                    kind=ROUND_START,
-                    time=self.virtual_time,
-                    round_index=len(runtime.history),
-                )
-            )
-        while queue:
-            event = queue.pop()
-            if event.kind == ROUND_START:
-                self.run_round()
-                completed = len(runtime.history)
-                now = self.virtual_time
-                if directory is not None and (
-                    completed % checkpoint_every == 0 or completed >= target
-                ):
-                    queue.push(
-                        Event(kind=CHECKPOINT_DUE, time=now, round_index=completed - 1)
-                    )
-                if injector is not None:
-                    queue.push(
-                        Event(kind=FAULT_INJECTION, time=now, round_index=completed - 1)
-                    )
-                if completed < target:
-                    queue.push(Event(kind=ROUND_START, time=now, round_index=completed))
-            elif event.kind == CHECKPOINT_DUE:
-                self.stats.control_events += 1
-                runtime._write_due_checkpoint(directory, keep_checkpoints)
-            elif event.kind == FAULT_INJECTION:
-                self.stats.control_events += 1
-                runtime._consult_injector(injector, event.round_index, directory)
-
 
 __all__ = [
-    "ROUND_START",
     "CLIENT_COMPLETION",
     "STRAGGLER_DEADLINE",
-    "AVAILABILITY",
-    "CHECKPOINT_DUE",
-    "FAULT_INJECTION",
     "Event",
     "EventQueue",
     "EligibleSet",

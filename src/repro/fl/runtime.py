@@ -40,6 +40,7 @@ from repro.data.partition import partition_dataset
 from repro.fl.broadcast import BroadcastCache, BroadcastPayload
 from repro.fl.client import FLClient
 from repro.fl.config import FLConfig, participant_count
+from repro.fl.events import FleetEngine
 from repro.fl.executor import ClientResult, ClientTask, build_executor
 from repro.fl.history import ClientRoundStat, RoundRecord, TrainingHistory
 from repro.fl.scheduler import RoundScheduler, SynchronousScheduler
@@ -247,16 +248,10 @@ class FederatedRuntime:
         if callable(bind):
             bind(self)
 
-        #: Optional discrete-event engine (:mod:`repro.fl.events`): rounds and
-        #: control actions flow through a deterministic event queue and the
-        #: eligible set is maintained incrementally from availability
-        #: transitions.  ``engine="rounds"`` (the default) keeps the legacy
-        #: loop; both produce bit-identical histories and weights.
-        self.engine = None
-        if self.config.engine == "events":
-            from repro.fl.events import FleetEngine
-
-            self.engine = FleetEngine(self)
+        #: The discrete-event engine (:mod:`repro.fl.events`) every round
+        #: runs through; it keeps the eligible set incrementally from
+        #: availability transitions.
+        self.engine = FleetEngine(self)
 
     def close(self) -> None:
         """Release executor resources (worker processes); idempotent.
@@ -348,24 +343,15 @@ class FederatedRuntime:
         if monitor is not None:
             monitor.run_started(self, target_rounds=target)
         try:
-            if self.engine is not None:
-                self.engine.run(
-                    target,
-                    directory=directory,
-                    checkpoint_every=checkpoint_every,
-                    keep_checkpoints=keep_checkpoints,
-                    injector=injector,
-                )
-            else:
-                while len(self.history) < target:
-                    self.run_round()
-                    completed = len(self.history)
-                    if directory is not None and (
-                        completed % checkpoint_every == 0 or completed >= target
-                    ):
-                        self._write_due_checkpoint(directory, keep_checkpoints)
-                    if injector is not None:
-                        self._consult_injector(injector, completed - 1, directory)
+            while len(self.history) < target:
+                self.engine.run_round()
+                completed = len(self.history)
+                if directory is not None and (
+                    completed % checkpoint_every == 0 or completed >= target
+                ):
+                    self._write_due_checkpoint(directory, keep_checkpoints)
+                if injector is not None:
+                    self._consult_injector(injector, completed - 1, directory)
         except BaseException as error:
             if monitor is not None:
                 monitor.run_finished(status="crashed", error=error)
@@ -375,8 +361,7 @@ class FederatedRuntime:
         return self.history
 
     def _write_due_checkpoint(self, directory: Path, keep_checkpoints: int) -> None:
-        """Persist a checkpoint for the last completed round (due-check is the
-        caller's: the legacy loop and the event engine share this body)."""
+        """Persist a checkpoint for the last completed round."""
         from repro.fl.checkpoint import capture_runtime, write_checkpoint
 
         path = write_checkpoint(
@@ -405,9 +390,7 @@ class FederatedRuntime:
 
     def run_round(self) -> RoundRecord:
         """Execute one round under the configured scheduler."""
-        if self.engine is not None:
-            return self.engine.run_round()
-        return self.scheduler.run_round(self)
+        return self.engine.run_round()
 
     # ------------------------------------------------------------------
     # Scheduler-facing primitives
@@ -415,12 +398,11 @@ class FederatedRuntime:
     def start_round(self, eligible: Optional[np.ndarray] = None) -> RoundContext:
         """Sample participants, broadcast the global state, build client tasks.
 
-        ``eligible`` (sorted client ids) lets the event engine hand over its
-        incrementally maintained eligible set, skipping the full-fleet mask
-        recomputation; ``None`` keeps the legacy mask path.
+        ``eligible`` (sorted client ids) is the event engine's eligible set;
+        it must be given when the runtime has a participation schedule.
         """
         round_index = len(self.history)
-        participants = self._sample_clients(round_index, eligible=eligible)
+        participants = self._sample_clients(eligible)
         learning_rate = (
             self.config.learning_rate * self.config.learning_rate_decay**round_index
         )
@@ -567,33 +549,24 @@ class FederatedRuntime:
     # ------------------------------------------------------------------
     # Sampling and broadcast
     # ------------------------------------------------------------------
-    def _sample_clients(
-        self, round_index: int = 0, eligible: Optional[np.ndarray] = None
-    ) -> List[FLClient]:
+    def _sample_clients(self, eligible: Optional[np.ndarray] = None) -> List[FLClient]:
         """Sample this round's participants.
 
-        When a participation schedule is configured, its availability mask
-        restricts the eligible pool first; sampling then draws
+        When a participation schedule is configured, the event engine hands
+        over its eligible ids (``np.nonzero(mask)[0]`` of the schedule's
+        availability mask); sampling then draws
         ``participant_count(client_fraction, len(eligible))`` clients (an
         explicit ceiling — see :func:`repro.fl.config.participant_count`)
-        from the eligible set, so participation tracks fleet availability.
-        Without a schedule the seed sampling path is used unchanged (the
-        count is taken over the whole fleet), keeping default runs
-        bit-identical.
-
-        A pre-computed ``eligible`` array (the event engine's incrementally
-        maintained set, equal to ``np.nonzero(mask)[0]``) bypasses the mask
-        computation; the RNG draw is identical because ``Generator.choice``
-        depends only on the pool size and draw count.
+        from them, so participation tracks fleet availability.  Without a
+        schedule the seed sampling path is used unchanged (the count is taken
+        over the whole fleet), keeping default runs bit-identical.
         """
         num_clients = len(self.clients)
         if eligible is None and self.schedule is not None:
-            mask = np.asarray(self.schedule.mask(round_index, num_clients), dtype=bool)
-            if mask.shape != (num_clients,):
-                raise ValueError(
-                    f"availability mask has shape {mask.shape}, expected ({num_clients},)"
-                )
-            eligible = np.nonzero(mask)[0]
+            raise ValueError(
+                "a runtime with a participation schedule samples from the "
+                "eligible ids FleetEngine.run_round passes to start_round"
+            )
         if eligible is not None:
             eligible = np.asarray(eligible, dtype=np.int64)
             if eligible.size == 0:

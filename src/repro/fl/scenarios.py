@@ -7,9 +7,9 @@ crowds join and leave in bursts.  This module packages those regimes as
 named, reproducible presets:
 
 * a **participation schedule** answers "which clients are reachable in round
-  ``t``?" with a boolean availability mask that
-  :meth:`repro.fl.runtime.FederatedRuntime._sample_clients` applies *before*
-  sampling ``client_fraction`` of the fleet;
+  ``t``?" with a boolean availability mask (and the equivalent
+  arrival/departure stream the event engine folds round by round) that
+  restricts the pool *before* ``client_fraction`` of the fleet is sampled;
 * a :class:`FleetScenario` composes the schedule with
   :func:`repro.fl.transport.edge_fleet_specs` (link heterogeneity), a
   partition strategy, and a round scheduler into everything
@@ -547,8 +547,7 @@ _SCENARIOS: Dict[str, FleetScenario] = {
                 "100k-client diurnal fleet driven by the discrete-event engine: "
                 "availability compiles to arrival/departure event streams, links "
                 "cycle a four-bandwidth pattern, and each round touches only "
-                "participants + availability transitions (run with "
-                "engine='events')"
+                "participants + availability transitions"
             ),
             num_clients=100_000,
             client_fraction=0.0002,

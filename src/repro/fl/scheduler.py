@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.fl.aggregation import mix_states
+from repro.fl.events import CLIENT_COMPLETION, STRAGGLER_DEADLINE
 from repro.fl.history import RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -34,9 +35,22 @@ class RoundScheduler:
 
     name = "base"
 
-    def run_round(self, runtime: "FederatedRuntime") -> RoundRecord:
-        """Execute one round against the runtime and return its record."""
-        raise NotImplementedError
+    def consume_events(
+        self, runtime: "FederatedRuntime", context, results, events
+    ) -> RoundRecord:
+        """Close one round from its completion events and return its record.
+
+        The :class:`~repro.fl.events.FleetEngine` starts the round, runs the
+        clients, and hands over ``results`` (task order) plus an
+        :class:`~repro.fl.events.EventQueue` holding one completion event per
+        result and, for schedulers with a ``deadline_seconds`` attribute, a
+        straggler-deadline event.  The scheduler aggregates and calls
+        ``runtime.finish_round``.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement consume_events(runtime, "
+            "context, results, events)"
+        )
 
     def state_dict(self) -> dict:
         """JSON-compatible fingerprint of this scheduler's configuration.
@@ -54,36 +68,14 @@ class SynchronousScheduler(RoundScheduler):
 
     name = "sync"
 
-    def run_round(self, runtime: "FederatedRuntime") -> RoundRecord:
-        context = runtime.start_round()
-        results = runtime.execute_clients(context)
-        delivered = [result for result in results if result.delivered]
-        if delivered:
-            runtime.server.aggregate(
-                [result.state for result in delivered],
-                [float(result.update.num_samples) for result in delivered],
-            )
-        # The synchronous server waits for every participant's turnaround —
-        # including updates that were lost in transit (it only learns they are
-        # missing once their transfer window has passed).
-        round_seconds = max((r.turnaround_seconds for r in results), default=0.0)
-        return runtime.finish_round(
-            context,
-            results,
-            aggregated_ids={r.client_id for r in delivered},
-            round_seconds=round_seconds,
-        )
-
     def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """Event form of the barrier: drain every completion, then aggregate.
+        """The barrier: drain every completion, then aggregate.
 
-        Synchronous FedAvg is the degenerate case of the event engine — the
-        round closes at the last completion event (delivered or not), and
-        aggregation still walks ``results`` in task order so float summation
-        order matches :meth:`run_round` exactly.
+        The round closes at the last completion event, delivered or not: the
+        server only learns an update was lost once its transfer window has
+        passed.  Aggregation walks ``results`` in task order, so float
+        summation order does not depend on arrival order.
         """
-        from repro.fl.events import CLIENT_COMPLETION
-
         round_seconds = 0.0
         while events:
             event = events.pop()
@@ -116,43 +108,18 @@ class SemiSynchronousScheduler(RoundScheduler):
     def state_dict(self) -> dict:
         return {"name": self.name, "deadline_seconds": self.deadline_seconds}
 
-    def run_round(self, runtime: "FederatedRuntime") -> RoundRecord:
-        context = runtime.start_round()
-        results = runtime.execute_clients(context)
-        delivered = [result for result in results if result.delivered]
-        on_time = [r for r in delivered if r.turnaround_seconds <= self.deadline_seconds]
-        if on_time:
-            runtime.server.aggregate(
-                [result.state for result in on_time],
-                [float(result.update.num_samples) for result in on_time],
-            )
-        # The round runs to the deadline whenever any expected update is
-        # missing at close — cut stragglers *and* updates dropped in transit
-        # (the server cannot distinguish "late" from "lost" until then).
-        waited_out = len(on_time) < len(results)
-        round_seconds = (
-            self.deadline_seconds
-            if waited_out
-            else max((r.turnaround_seconds for r in on_time), default=0.0)
-        )
-        return runtime.finish_round(
-            context,
-            results,
-            aggregated_ids={r.client_id for r in on_time},
-            round_seconds=round_seconds,
-        )
-
     def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """Event form of the deadline: completions race a deadline event.
+        """The deadline: completions race a deadline event.
 
         Deliveries popping before the :data:`~repro.fl.events.STRAGGLER_DEADLINE`
         event are on time; the engine pushes the deadline after the
         completions, so an update landing at exactly the deadline drains
-        first — reproducing :meth:`run_round`'s ``<=`` comparison.
-        Aggregation walks ``results`` in task order, not pop order.
+        first (``turnaround <= deadline``).  The round runs to the deadline
+        whenever any expected update is missing at close — cut stragglers
+        *and* updates dropped in transit, which the server cannot tell apart
+        until then.  Aggregation walks ``results`` in task order, not pop
+        order.
         """
-        from repro.fl.events import CLIENT_COMPLETION, STRAGGLER_DEADLINE
-
         on_time_ids = set()
         last_on_time = 0.0
         while events:
@@ -211,43 +178,13 @@ class AsynchronousScheduler(RoundScheduler):
         """Mixing weight for an update that is ``staleness`` versions old."""
         return self.mixing_rate * (1.0 + staleness) ** (-self.staleness_exponent)
 
-    def run_round(self, runtime: "FederatedRuntime") -> RoundRecord:
-        context = runtime.start_round()
-        results = runtime.execute_clients(context)
-        delivered = [result for result in results if result.delivered]
-        arrivals = sorted(delivered, key=lambda r: (r.turnaround_seconds, r.client_id))
-
-        weights = {}
-        staleness_by_client = {}
-        global_state = runtime.server.global_state()
-        for staleness, result in enumerate(arrivals):
-            weight = self.staleness_weight(staleness)
-            global_state = mix_states(global_state, result.state, weight)
-            weights[result.client_id] = weight
-            staleness_by_client[result.client_id] = staleness
-        if arrivals:
-            runtime.server.set_global_state(global_state)
-
-        round_seconds = max((r.turnaround_seconds for r in arrivals), default=0.0)
-        return runtime.finish_round(
-            context,
-            results,
-            aggregated_ids={r.client_id for r in arrivals},
-            round_seconds=round_seconds,
-            client_weights=weights,
-            client_staleness=staleness_by_client,
-        )
-
     def consume_events(self, runtime, context, results, events) -> RoundRecord:
-        """Event form of async mixing: apply deliveries in pop order.
+        """Async mixing: apply deliveries in pop order.
 
         The engine pushes completions in task order (ascending client id), so
-        pop order is ``(turnaround, client_id)`` — exactly :meth:`run_round`'s
-        arrival sort — and each delivered update is mixed in the moment its
-        event fires.
+        pop order — the arrival order — is ``(turnaround, client_id)``, and
+        each delivered update is mixed in the moment its event fires.
         """
-        from repro.fl.events import CLIENT_COMPLETION
-
         weights = {}
         staleness_by_client = {}
         aggregated_ids = set()

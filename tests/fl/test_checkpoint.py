@@ -86,8 +86,8 @@ def test_restore_reproduces_sampling_and_client_streams(data, model_fn, tmp_path
     assert fresh.history.records == runtime.history.records
     assert fresh._sampling_rng.bit_generator.state == runtime._sampling_rng.bit_generator.state
     # Continuing both runtimes draws identical participant samples.
-    assert [c.client_id for c in fresh._sample_clients(1)] == [
-        c.client_id for c in runtime._sample_clients(1)
+    assert [c.client_id for c in fresh._sample_clients()] == [
+        c.client_id for c in runtime._sample_clients()
     ]
 
 
@@ -226,6 +226,32 @@ def test_resume_allows_execution_only_config_changes(data, model_fn, tmp_path):
     other = _build_runtime(data, model_fn, rounds=7, max_resident_models=2)
     restore_runtime(other, load_checkpoint(latest_checkpoint(tmp_path)))
     assert len(other.history) == 1
+
+
+def test_snapshot_recording_round_loop_engine_resumes_bit_identically(
+    data, model_fn, tmp_path
+):
+    """Snapshots written while ``FLConfig.engine`` still accepted ``"rounds"``
+    record that value.  ``FLConfig`` now rejects it, but the field is
+    execution-only, so such a snapshot resumes onto the uninterrupted run."""
+    uninterrupted = _build_runtime(data, model_fn, client_fraction=0.5, rounds=3)
+    rows = uninterrupted.run().deterministic_rows()
+
+    first = _build_runtime(data, model_fn, client_fraction=0.5, rounds=3)
+    first.run(1, checkpoint_dir=tmp_path)
+    snapshot = load_checkpoint(latest_checkpoint(tmp_path))
+    snapshot.config["engine"] = "rounds"
+    write_checkpoint(snapshot, tmp_path)
+    assert load_checkpoint(latest_checkpoint(tmp_path)).config["engine"] == "rounds"
+
+    resumed = _build_runtime(data, model_fn, client_fraction=0.5, rounds=3)
+    history = resumed.run(checkpoint_dir=tmp_path, resume=True)
+    assert history.deterministic_rows() == rows
+    expected = uninterrupted.server.global_state()
+    final = resumed.server.global_state()
+    assert final.keys() == expected.keys()
+    for name in expected:
+        np.testing.assert_array_equal(final[name], expected[name], err_msg=name)
 
 
 def test_resume_refuses_mismatched_scheduler(data, model_fn, tmp_path):

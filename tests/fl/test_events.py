@@ -1,7 +1,7 @@
 """Unit tests for the discrete-event engine building blocks.
 
-The integration-level equivalence guarantees (event engine == legacy loop,
-bit for bit, across schedulers and executors) live in
+The integration-level equivalence guarantees (event engine == a plain
+reference round, bit for bit, across schedulers and executors) live in
 ``tests/integration/test_event_engine.py``; this module pins the pieces those
 guarantees are built from: deterministic queue ordering, the
 transitions-vs-mask contract of participation schedules, the incrementally
@@ -64,9 +64,11 @@ def test_event_queue_peek_and_len():
     queue.push(Event(kind=CLIENT_COMPLETION, time=2.5))
     queue.push(Event(kind=CLIENT_COMPLETION, time=1.5))
     assert len(queue) == 2
-    assert queue.peek_time() == 1.5
     queue.pop()
     assert len(queue) == 1
+    assert queue
+    queue.pop()
+    assert not queue
 
 
 # ----------------------------------------------------------------------
@@ -132,10 +134,11 @@ def test_eligible_set_counts_touches():
 # Config + seed plumbing the engine depends on
 # ----------------------------------------------------------------------
 def test_flconfig_validates_engine():
-    assert FLConfig().engine == "rounds"
+    assert FLConfig().engine == "events"
     assert FLConfig(engine="events").engine == "events"
-    with pytest.raises(ValueError):
-        FLConfig(engine="warp")
+    for retired in ("rounds", "warp"):
+        with pytest.raises(ValueError, match="engine"):
+            FLConfig(engine=retired)
 
 
 def test_seed_at_matches_sequential_derivation():

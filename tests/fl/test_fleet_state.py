@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -306,6 +309,40 @@ def test_bad_mask_shape_raises(data, model_fn):
     )
     with pytest.raises(ValueError):
         runtime.run_round()
+
+
+def test_start_round_needs_eligible_ids_under_a_schedule(data, model_fn):
+    """Sampling never silently ignores a schedule: without the engine's
+    eligible ids, a scheduled runtime refuses to start a round."""
+    train, val = data
+    runtime = FederatedRuntime(
+        model_fn, train, val, FLConfig(num_clients=4, batch_size=16),
+        schedule=_OnlyClients({0, 2}),
+    )
+    with pytest.raises(ValueError, match="eligible"):
+        runtime.start_round()
+    context = runtime.start_round(eligible=np.array([0, 2]))
+    assert [client.client_id for client in context.participants] == [0, 2]
+
+
+def test_dropped_runtime_is_freed_without_the_cycle_collector(data, model_fn):
+    """The runtime owns its round engine and the engine refers back only
+    weakly, so dropping a runtime releases its models and datasets at once
+    rather than at the next cyclic garbage collection."""
+    train, val = data
+    gc.collect()
+    gc.disable()
+    try:
+        runtime = FederatedRuntime(
+            model_fn, train, val, FLConfig(num_clients=4, rounds=1, batch_size=16),
+            schedule=_OnlyClients({0, 2}),
+        )
+        runtime.run()
+        dropped = weakref.ref(runtime)
+        del runtime
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

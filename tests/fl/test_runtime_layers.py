@@ -14,6 +14,7 @@ from repro.fl import (
     FLSimulation,
     LinkSpec,
     ParallelExecutor,
+    RoundScheduler,
     SemiSynchronousScheduler,
     SerialExecutor,
     SynchronousScheduler,
@@ -330,6 +331,45 @@ def test_scheduler_parameter_validation():
         AsynchronousScheduler(mixing_rate=0.0)
     with pytest.raises(ValueError):
         AsynchronousScheduler(staleness_exponent=-1.0)
+
+
+class _FirstArrivalScheduler(RoundScheduler):
+    """Custom scheduler implementing only ``consume_events``: adopt the first
+    delivered update and close the round at its arrival."""
+
+    name = "first-arrival"
+
+    def consume_events(self, runtime, context, results, events):
+        while events:
+            event = events.pop()
+            if event.result.delivered:
+                runtime.server.set_global_state(event.result.state)
+                return runtime.finish_round(
+                    context, results, aggregated_ids={event.client_id},
+                    round_seconds=event.time,
+                )
+        return runtime.finish_round(context, results, aggregated_ids=set(), round_seconds=0.0)
+
+
+def test_custom_scheduler_runs_on_consume_events_alone(data, model_fn, config):
+    train, val = data
+    runtime = FederatedRuntime(
+        model_fn, train, val, config, codec=None, scheduler=_FirstArrivalScheduler()
+    )
+    history = runtime.run()
+    assert len(history) == config.rounds
+    for record in history.records:
+        first = min(record.client_stats, key=lambda s: (s.turnaround_seconds, s.client_id))
+        assert [s.client_id for s in record.client_stats if s.aggregated] == [first.client_id]
+        assert record.simulated_round_seconds == first.turnaround_seconds
+    assert runtime.engine.stats.rounds_run == config.rounds
+
+
+def test_base_scheduler_names_the_hook_to_implement(data, model_fn, config):
+    train, val = data
+    runtime = FederatedRuntime(model_fn, train, val, config, scheduler=RoundScheduler())
+    with pytest.raises(NotImplementedError, match="consume_events"):
+        runtime.run(1)
 
 
 # ----------------------------------------------------------------------

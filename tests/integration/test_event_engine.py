@@ -4,11 +4,12 @@ Four guarantees are pinned here:
 
 * **engine equivalence** — at 256 clients, the event engine produces
   bit-identical ``TrainingHistory.deterministic_rows()`` and final weights to
-  the legacy round loop, for every scheduler (sync / semi-sync / async, each
-  under its natural fleet preset) and every executor (serial / thread /
-  process);
+  :func:`_reference_round`, a plain round written out from the runtime's
+  public primitives with each scheduler's rule stated directly, for every
+  scheduler (sync / semi-sync / async, each under its natural fleet preset)
+  and every executor (serial / thread / process);
 * **crash-safe equivalence** — a kill + resume under the event engine lands
-  on exactly the uninterrupted legacy run;
+  on exactly the uninterrupted reference run;
 * **O(events) rounds** — per-round client touches scale with participants +
   availability transitions, not fleet size: a 4x larger fleet with the same
   participant count produces identical steady-state touch counts, and
@@ -36,7 +37,9 @@ from repro.fl import (
     build_fleet_runtime,
     get_scenario,
 )
+from repro.fl.aggregation import mix_states
 from repro.fl.scenarios import CorruptedUploadSchedule, FullParticipation
+from repro.fl.scheduler import AsynchronousScheduler, SemiSynchronousScheduler
 from repro.nn.models import create_model
 
 PRESETS = ["uniform-edge", "diurnal", "flash-crowd"]  # sync / semi-sync / async
@@ -61,7 +64,7 @@ def _model_fn():
     return create_model("alexnet", "tiny", num_classes=10, seed=0)
 
 
-def _build_fleet(fleet_data, preset_name: str, engine: str, executor_name: str):
+def _build_fleet(fleet_data, preset_name: str, executor_name: str):
     train, validation = fleet_data
     overrides = {}
     if preset_name == "flash-crowd":
@@ -69,8 +72,8 @@ def _build_fleet(fleet_data, preset_name: str, engine: str, executor_name: str):
         # train seconds.  The preset cycles four bandwidths, so same-bandwidth
         # clients would be ordered by wall-clock noise; distinct per-client
         # bandwidths separate every pair by >= ~10ms of simulated transfer,
-        # making the ordering a pure function of the config (the same
-        # precondition the legacy loop needs to be run-to-run reproducible).
+        # making the ordering a pure function of the config (the precondition
+        # for any async run to be run-to-run reproducible).
         overrides["bandwidths_mbps"] = tuple(0.2 + 0.01 * i for i in range(256))
     preset = get_scenario(preset_name, num_clients=256, rounds=2, **overrides)
     return build_fleet_runtime(
@@ -82,8 +85,75 @@ def _build_fleet(fleet_data, preset_name: str, engine: str, executor_name: str):
         executor=_make_executor(executor_name),
         seed=7,
         batch_size=16,
-        engine=engine,
     )
+
+
+def _reference_round(runtime):
+    """One round from the public primitives, each scheduler's rule spelled out.
+
+    Sync waits for the slowest turnaround; semi-sync aggregates deliveries
+    with ``turnaround <= deadline`` and runs to the deadline when anything is
+    missing; async mixes deliveries in ``(turnaround, client_id)`` order with
+    staleness-decayed weights.  The availability mask is computed in full
+    every round, where the engine folds transition streams.
+    """
+    scheduler = runtime.scheduler
+    round_index = len(runtime.history)
+    mask = runtime.schedule.mask(round_index, len(runtime.clients))
+    context = runtime.start_round(eligible=np.nonzero(mask)[0])
+    results = runtime.execute_clients(context)
+    delivered = [r for r in results if r.delivered]
+
+    if isinstance(scheduler, AsynchronousScheduler):
+        arrivals = sorted(delivered, key=lambda r: (r.turnaround_seconds, r.client_id))
+        weights, staleness = {}, {}
+        state = runtime.server.global_state()
+        for position, result in enumerate(arrivals):
+            weights[result.client_id] = scheduler.staleness_weight(position)
+            staleness[result.client_id] = position
+            state = mix_states(state, result.state, weights[result.client_id])
+        if arrivals:
+            runtime.server.set_global_state(state)
+        return runtime.finish_round(
+            context,
+            results,
+            aggregated_ids={r.client_id for r in arrivals},
+            round_seconds=max((r.turnaround_seconds for r in arrivals), default=0.0),
+            client_weights=weights,
+            client_staleness=staleness,
+        )
+
+    if isinstance(scheduler, SemiSynchronousScheduler):
+        deadline = scheduler.deadline_seconds
+        aggregated = [r for r in delivered if r.turnaround_seconds <= deadline]
+        round_seconds = (
+            deadline
+            if len(aggregated) < len(results)
+            else max((r.turnaround_seconds for r in aggregated), default=0.0)
+        )
+    else:
+        aggregated = delivered
+        round_seconds = max((r.turnaround_seconds for r in results), default=0.0)
+    if aggregated:
+        runtime.server.aggregate(
+            [r.state for r in aggregated],
+            [float(r.update.num_samples) for r in aggregated],
+        )
+    return runtime.finish_round(
+        context,
+        results,
+        aggregated_ids={r.client_id for r in aggregated},
+        round_seconds=round_seconds,
+    )
+
+
+def _run_reference(runtime, rounds):
+    try:
+        while len(runtime.history) < rounds:
+            _reference_round(runtime)
+        return runtime.history
+    finally:
+        runtime.close()
 
 
 def _run_closed(runtime, *args, **kwargs):
@@ -104,37 +174,37 @@ def _assert_states_identical(reference, other):
 
 
 @pytest.mark.parametrize("preset_name", PRESETS)
-def test_event_engine_matches_legacy_loop_across_executors(fleet_data, preset_name):
-    """256-client preset, every executor: engine rows + weights == legacy."""
-    legacy = _build_fleet(fleet_data, preset_name, "rounds", "serial")
-    rows = _run_closed(legacy).deterministic_rows()
+def test_engine_matches_reference_round(fleet_data, preset_name):
+    """256-client preset, every executor: engine rows + weights == reference."""
+    reference = _build_fleet(fleet_data, preset_name, "serial")
+    rows = _run_reference(reference, 2).deterministic_rows()
     assert len(rows) == 2
     for executor_name in EXECUTORS:
-        engine_runtime = _build_fleet(fleet_data, preset_name, "events", executor_name)
+        engine_runtime = _build_fleet(fleet_data, preset_name, executor_name)
         history = _run_closed(engine_runtime)
         assert history.deterministic_rows() == rows, executor_name
-        _assert_states_identical(legacy, engine_runtime)
+        _assert_states_identical(reference, engine_runtime)
 
 
 def test_event_engine_resume_is_bit_identical(fleet_data, tmp_path):
     """Kill after 2 of 4 rounds, resume with a fresh engine: the resumed run
-    must land on the uninterrupted legacy run exactly (availability rebuilds
-    from the mask at the discontinuity, then continues incrementally)."""
+    must land on the uninterrupted reference run exactly (availability
+    rebuilds from the mask at the discontinuity, then continues
+    incrementally)."""
     train, validation = fleet_data
     preset = get_scenario("diurnal", num_clients=256, rounds=4)
 
-    def build(engine):
+    def build():
         return build_fleet_runtime(
-            preset, _model_fn, train, validation, codec=None, seed=7,
-            batch_size=16, engine=engine,
+            preset, _model_fn, train, validation, codec=None, seed=7, batch_size=16,
         )
 
-    uninterrupted = build("rounds")
-    rows = _run_closed(uninterrupted).deterministic_rows()
+    uninterrupted = build()
+    rows = _run_reference(uninterrupted, 4).deterministic_rows()
 
-    first = build("events")
+    first = build()
     _run_closed(first, 2, checkpoint_dir=tmp_path)
-    resumed = build("events")
+    resumed = build()
     history = _run_closed(resumed, 4, checkpoint_dir=tmp_path, resume=True)
     assert history.deterministic_rows() == rows
     _assert_states_identical(uninterrupted, resumed)
@@ -159,7 +229,6 @@ def test_round_cost_scales_with_events_not_fleet_size():
                 batch_size=16,
                 local_epochs=1,
                 client_fraction=participants / fleet_size,
-                engine="events",
                 seed=3,
             ),
             schedule=FullParticipation(),
